@@ -77,7 +77,6 @@ from .replication import (
 from .storage import (
     AccessStats,
     AccessTrace,
-    BackoffPolicy,
     BufferedStore,
     CostModel,
     DISK_ARM_MODEL,
@@ -117,7 +116,6 @@ __all__ = [
     "AdaptiveControl2Engine",
     "AccessTrace",
     "AdmissionGate",
-    "BackoffPolicy",
     "BufferedStore",
     "CalibratorTree",
     "ChaosChannel",

@@ -71,12 +71,13 @@ from ..storage.backend import (
     MemoryStore,
     PageStore,
 )
-from ..storage.faults import BackoffPolicy, FaultPlan, fault_tolerant_stack
+from ..storage.faults import FaultPlan, fault_tolerant_stack
 from ..storage.page import Page
 from ..workloads.driver import split_workload
 from ..workloads.generators import INSERT, mixed_workload
 from .deadline import Deadline
 from .file import ThreadSafeDenseFile
+from .retry import RetryPolicy
 from .rwlock import FairRWLock
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at runtime
@@ -434,7 +435,7 @@ def build_file(
         stack = fault_tolerant_stack(
             MemoryStore(num_pages),
             plan,
-            BackoffPolicy(max_attempts=100),
+            RetryPolicy(max_attempts=100),
         )
         return DenseSequentialFile(num_pages, d, D, store=wrap(stack)), plan
     if config.path is None:

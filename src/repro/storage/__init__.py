@@ -20,7 +20,6 @@ from .codec import CodecError, decode_page, encode_page
 from .cost import AccessStats, CostModel, DISK_ARM_MODEL, PAGE_ACCESS_MODEL
 from .disk import SimulatedDisk
 from .faults import (
-    BackoffPolicy,
     FaultInjector,
     FaultPlan,
     FaultyStore,
@@ -44,7 +43,6 @@ __all__ = [
     "AccessStats",
     "AccessTrace",
     "BACKENDS",
-    "BackoffPolicy",
     "BufferPool",
     "BufferedStore",
     "CodecError",

@@ -24,9 +24,10 @@ assert the file always lands in a legal state:
     no side effects and is safe to retry verbatim.
 :class:`RetryingStore`
     The absorption side: bounded retries with a deterministic
-    exponential :class:`BackoffPolicy` for transient faults, with
-    retry/give-up counters in :meth:`~RetryingStore.stats`.  Crashes and
-    corruption are *not* retried — those belong to the journal and
+    exponential :class:`~repro.concurrent.retry.RetryPolicy` for
+    transient faults, with retry/give-up counters in
+    :meth:`~RetryingStore.stats`.  Crashes and corruption are *not*
+    retried — those belong to the journal and
     :func:`~repro.storage.scrub.scrub` recovery paths.
 
 Fault taxonomy (who detects it, who heals it):
@@ -316,27 +317,16 @@ class FaultyStore(PageStore):
         }
 
 
-class BackoffPolicy(RetryPolicy):
-    """The storage spelling of :class:`~repro.concurrent.retry.RetryPolicy`.
-
-    Kept as a distinct name for backwards compatibility (every test and
-    stack builder says ``BackoffPolicy``); the fields, validation and
-    ``delay(attempt)`` schedule all come from the shared policy, so
-    store-level and network-level retries can no longer diverge.  The
-    default has no jitter — store retries back off against a local disk,
-    not a thundering herd of clients.
-    """
-
-
 class RetryingStore(PageStore):
     """Absorb transient faults from the wrapped store with bounded retries.
 
     Each logical operation is attempted up to ``policy.max_attempts``
     times; only :class:`~repro.core.errors.TransientIOError` is retried
     (crashes and corruption must surface).  Between attempts the
-    deterministic :class:`BackoffPolicy` delay is accumulated in the
-    stats and slept via the injectable ``sleep`` callable (a no-op for
-    the default zero base delay).
+    deterministic :class:`~repro.concurrent.retry.RetryPolicy` delay
+    (no jitter by default) is accumulated in the stats and slept via
+    the injectable ``sleep`` callable (a no-op for the default zero
+    base delay).
 
     ``move_records`` uses the inherited default built from this store's
     own get/put, so retries happen at single-operation granularity — a
@@ -359,11 +349,11 @@ class RetryingStore(PageStore):
     def __init__(
         self,
         inner: PageStore,
-        policy: Optional[BackoffPolicy] = None,
+        policy: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.inner = inner
-        self.policy = policy if policy is not None else BackoffPolicy()
+        self.policy = policy if policy is not None else RetryPolicy()
         self.num_pages = inner.num_pages
         self._sleep = sleep
         self._local = threading.local()
@@ -457,7 +447,7 @@ class RetryingStore(PageStore):
 def fault_tolerant_stack(
     inner: PageStore,
     plan: Optional[FaultPlan] = None,
-    policy: Optional[BackoffPolicy] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> RetryingStore:
     """``RetryingStore(FaultyStore(inner, plan), policy)`` in one call.
 

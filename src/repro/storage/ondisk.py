@@ -28,9 +28,10 @@ fixed slot capacity.  A payload that outgrows its slot raises
 :class:`PageOverflowError` — callers size slots from ``D`` and the
 maximum record size they intend to store.
 
-Corruption is detected on read: a slot whose CRC does not match raises
-:class:`CorruptPageError` naming the page, which the recovery tests
-exercise by flipping bytes on disk.
+Corruption is detected on read: a slot whose CRC does not match, or
+whose CRC-valid payload does not decode, raises :class:`CorruptPageError`
+naming the page, which the recovery tests exercise by flipping bytes on
+disk.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ MAGIC = b"DSF1"
 #: files stay readable *and* writable.
 FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
+#: What the decoders can raise on a CRC-valid but malformed payload:
+#: :class:`~repro.storage.codec.CodecError` (a ``ValueError``) for the
+#: checks they make, and the errors of the primitives they call for the
+#: ones they do not (``struct.error`` on a short field, division by a
+#: zero fraction denominator, an unhashable dict key, runaway nesting).
+_DECODE_ERRORS = (
+    ValueError, struct.error, ArithmeticError, TypeError, RecursionError
+)
 HEADER = struct.Struct("<4sIIIIIII")  # magic, ver, M, d, D, J, slot, reserved
 SLOT_HEADER = struct.Struct("<II")  # payload length, crc32
 
@@ -278,9 +287,16 @@ class DiskPagedStore:
             raise CorruptPageError(f"page {page_number}: truncated payload")
         if zlib.crc32(payload) != checksum:
             raise CorruptPageError(f"page {page_number}: checksum mismatch")
-        if self.version >= 2:
-            return decode_page_image(payload)
-        return decode_page(payload)
+        try:
+            if self.version >= 2:
+                return decode_page_image(payload)
+            return decode_page(payload)
+        except _DECODE_ERRORS as exc:
+            # The checksum vouches for the bytes, not for what they say:
+            # an undecodable payload is a corrupt page like any other.
+            raise CorruptPageError(
+                f"page {page_number}: undecodable payload ({exc})"
+            ) from exc
 
     def flush(self) -> None:
         """Flush and fsync the backing OS file."""

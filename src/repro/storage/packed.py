@@ -1,25 +1,7 @@
-"""Packed pages: columnar in-core layout plus binary page images.
+"""Binary page images: the page codec of on-disk format version 2.
 
-Two related pieces live here.
-
-:class:`PackedPage` is the hot-path page representation.  Where the
-object :class:`~repro.storage.page.Page` keeps a parallel list of
-:class:`~repro.records.Record` NamedTuples next to its key list, a
-``PackedPage`` keeps *columns* — one plain list of keys and one of
-values — and materializes ``Record`` objects only when a caller actually
-asks for them (scans, deletes returning the victim, snapshots).  Every
-mutation is a ``bisect`` plus C-level list surgery with no per-record
-object allocation, and batch moves between two packed pages
-(``take_*_into``) are single slice operations.  The class accepts any
-key type the object page accepts — heterogeneous keys (Fractions,
-tuples) live in the columns just fine — so behaviour is identical; only
-the representation differs.  The Hypothesis parity suite in
-``tests/test_packed_parity.py`` holds the two classes state- and
-counter-identical.
-
-:func:`encode_page_image` / :func:`decode_page_image` are the binary
-serialization used by on-disk format version 2.  A page image is
-self-describing via a leading *page-format byte*:
+:func:`encode_page_image` / :func:`decode_page_image` serialize one
+page.  An image is self-describing via a leading *page-format byte*:
 
 =======  ==========================================================
 byte 0   image body
@@ -38,7 +20,7 @@ lengths (``0xFFFFFFFF`` = ``None``) followed by the concatenated value
 bytes.  Only ``bytes``/``None`` values are packable; anything else —
 like any page whose keys are not homogeneously int64/float64/short-str
 — *demotes to the object format for that write* (format byte 0).  The
-fallback is chosen per page per write, so a packed page that receives a
+fallback is chosen per page per write, so a page that receives a
 ``Fraction`` key mid-command simply serializes through the generic
 codec on its next write-back; nothing above the codec notices.
 
@@ -52,10 +34,8 @@ from __future__ import annotations
 
 import struct
 import sys
-from bisect import bisect_left
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, List, Optional
 
-from ..core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
 from ..records import Record
 from .codec import CodecError, decode_page, encode_page
 from .page import Page
@@ -82,178 +62,6 @@ _I64_MAX = (1 << 63) - 1
 _STR_WIDTH_MAX = 255
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-class PackedPage(Page):
-    """A :class:`Page` storing key and value columns instead of Records.
-
-    Drop-in behavioural replacement: every public method matches the
-    object page (same results, same exceptions), so stores may pick the
-    representation per file without anything above noticing.  The
-    ``_records`` slot inherited from :class:`Page` stays unset — all
-    record-touching methods are overridden to work on the columns.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, records: Optional[Iterable[Record]] = None):
-        self._keys = []
-        self._values = []
-        if records:
-            for record in records:
-                self.insert(record)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __iter__(self) -> Iterator[Record]:
-        return map(Record, self._keys, self._values)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PackedPage({len(self._keys)} records)"
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._keys
-
-    def records(self) -> List[Record]:
-        """Materialize the records in key order (a fresh list)."""
-        return list(map(Record, self._keys, self._values))
-
-    def get(self, key: Any) -> Optional[Record]:
-        keys = self._keys
-        index = bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return Record(key, self._values[index])
-        return None
-
-    def insert(self, record: Record) -> int:
-        return self.insert_kv(record.key, record.value)
-
-    def insert_kv(self, key: Any, value: Any = None) -> int:
-        """Insert without materializing a :class:`Record` (hot path).
-
-        Returns the insertion index (0 means the page minimum changed).
-        """
-        keys = self._keys
-        index = bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            raise DuplicateKeyError(key)
-        keys.insert(index, key)
-        self._values.insert(index, value)
-        return index
-
-    def remove(self, key: Any) -> Record:
-        keys = self._keys
-        index = bisect_left(keys, key)
-        if index >= len(keys) or keys[index] != key:
-            raise RecordNotFoundError(key)
-        del keys[index]
-        return Record(key, self._values.pop(index))
-
-    def replace(self, record: Record) -> Record:
-        keys = self._keys
-        index = bisect_left(keys, record.key)
-        if index >= len(keys) or keys[index] != record.key:
-            raise RecordNotFoundError(record.key)
-        values = self._values
-        old = Record(keys[index], values[index])
-        values[index] = record.value
-        return old
-
-    def take_lowest(self, count: int) -> List[Record]:
-        count = min(count, len(self._keys))
-        taken = list(map(Record, self._keys[:count], self._values[:count]))
-        del self._keys[:count]
-        del self._values[:count]
-        return taken
-
-    def take_highest(self, count: int) -> List[Record]:
-        count = min(count, len(self._keys))
-        if count == 0:
-            return []
-        taken = list(map(Record, self._keys[-count:], self._values[-count:]))
-        del self._keys[-count:]
-        del self._values[-count:]
-        return taken
-
-    def extend_low(self, records: List[Record]) -> None:
-        if not records:
-            return
-        if self._keys and records[-1].key >= self._keys[0]:
-            raise UsageError("extend_low would break key order")
-        self._keys[:0] = [record.key for record in records]
-        self._values[:0] = [record.value for record in records]
-
-    def extend_high(self, records: List[Record]) -> None:
-        if not records:
-            return
-        if self._keys and records[0].key <= self._keys[-1]:
-            raise UsageError("extend_high would break key order")
-        self._keys.extend(record.key for record in records)
-        self._values.extend(record.value for record in records)
-
-    def clear(self) -> List[Record]:
-        taken = list(map(Record, self._keys, self._values))
-        self._keys = []
-        self._values = []
-        return taken
-
-    # -- packed-to-packed batch moves (SHIFT fast path) -----------------
-
-    def take_lowest_into(self, dest: "PackedPage", count: int) -> int:
-        """Move the ``count`` lowest records onto the top of ``dest``.
-
-        Slice-level equivalent of ``dest.extend_high(self.take_lowest(
-        count))`` — same validation, same final state, two C-level slice
-        moves and no :class:`Record` materialization.  Returns the
-        number of records moved.
-        """
-        count = min(count, len(self._keys))
-        if count == 0:
-            return 0
-        keys = self._keys[:count]
-        if dest._keys and keys[0] <= dest._keys[-1]:
-            raise UsageError("extend_high would break key order")
-        dest._keys += keys
-        dest._values += self._values[:count]
-        del self._keys[:count]
-        del self._values[:count]
-        return count
-
-    def take_highest_into(self, dest: "PackedPage", count: int) -> int:
-        """Move the ``count`` highest records under the bottom of ``dest``."""
-        count = min(count, len(self._keys))
-        if count == 0:
-            return 0
-        keys = self._keys[-count:]
-        if dest._keys and keys[-1] >= dest._keys[0]:
-            raise UsageError("extend_low would break key order")
-        dest._keys[:0] = keys
-        dest._values[:0] = self._values[-count:]
-        del self._keys[-count:]
-        del self._values[-count:]
-        return count
-
-
-def page_columns(page: Page) -> "tuple[List[Any], List[Any]]":
-    """Return ``(keys, values)`` columns for either page representation.
-
-    For a :class:`PackedPage` these are the live columns (do not
-    mutate); for an object :class:`Page` they are built from the record
-    list.
-    """
-    if isinstance(page, PackedPage):
-        return page._keys, page._values
-    records = page.records()
-    return [record.key for record in records], [
-        record.value for record in records
-    ]
-
-
-# ----------------------------------------------------------------------
-# binary page images (on-disk format version 2)
-# ----------------------------------------------------------------------
 
 
 def _pack_keys(keys: List[Any]) -> "Optional[tuple[int, bytes]]":
@@ -323,6 +131,23 @@ def _pack_values(values: List[Any]) -> Optional[bytes]:
     )
 
 
+def _encode_image(keys: List[Any], records: List[Record]) -> bytes:
+    """Serialize parallel key / record lists as one format-byte image."""
+    if keys:
+        packed = _pack_keys(keys)
+        if packed is not None:
+            value_section = _pack_values([record.value for record in records])
+            if value_section is not None:
+                format_byte, key_section = packed
+                flags = _FLAG_HAS_VALUES if value_section else 0
+                return (
+                    _PACKED_HEADER.pack(format_byte, flags, 0, len(keys))
+                    + key_section
+                    + value_section
+                )
+    return bytes([PAGE_FORMAT_OBJECT]) + encode_page(records)
+
+
 def encode_page_image(page: Page) -> bytes:
     """Serialize one page as a self-describing format-byte image.
 
@@ -331,44 +156,24 @@ def encode_page_image(page: Page) -> bytes:
     the generic tag codec behind format byte 0.  Decoding with
     :func:`decode_page_image` always reproduces the exact records.
     """
-    keys, values = page_columns(page)
-    if keys:
-        packed = _pack_keys(keys)
-        if packed is not None:
-            value_section = _pack_values(values)
-            if value_section is not None:
-                page_format, key_section = packed
-                flags = _FLAG_HAS_VALUES if value_section else 0
-                return (
-                    _PACKED_HEADER.pack(page_format, flags, 0, len(keys))
-                    + key_section
-                    + value_section
-                )
-    if isinstance(page, PackedPage):
-        records = list(map(Record, keys, values))
-    else:
-        records = page.records()
-    return bytes([PAGE_FORMAT_OBJECT]) + encode_page(records)
+    return _encode_image(page._keys, page._records)
 
 
 def encode_records_image(records: List[Record]) -> bytes:
     """:func:`encode_page_image` over a plain record list."""
-    staging = PackedPage()
-    staging._keys = [record.key for record in records]
-    staging._values = [record.value for record in records]
-    return encode_page_image(staging)
+    return _encode_image([record.key for record in records], records)
 
 
 def _unpack_keys(
-    page_format: int, payload: bytes, offset: int, count: int
+    format_byte: int, payload: bytes, offset: int, count: int
 ) -> "tuple[List[Any], int]":
     """Decode a key section; returns ``(keys, next_offset)``."""
-    if page_format == PAGE_FORMAT_I64:
+    if format_byte == PAGE_FORMAT_I64:
         end = offset + 8 * count
         if end > len(payload):
             raise CodecError("truncated packed int64 keys")
         return list(struct.unpack_from(f"<{count}q", payload, offset)), end
-    if page_format == PAGE_FORMAT_F64:
+    if format_byte == PAGE_FORMAT_F64:
         end = offset + 8 * count
         if end > len(payload):
             raise CodecError("truncated packed float64 keys")
@@ -397,16 +202,16 @@ def decode_page_image(payload: bytes) -> List[Record]:
     """Decode a format-byte page image back into its record list."""
     if not payload:
         raise CodecError("empty page image")
-    page_format = payload[0]
-    if page_format == PAGE_FORMAT_OBJECT:
+    format_byte = payload[0]
+    if format_byte == PAGE_FORMAT_OBJECT:
         return decode_page(payload[1:])
-    if page_format not in (PAGE_FORMAT_I64, PAGE_FORMAT_F64, PAGE_FORMAT_STR):
-        raise CodecError(f"unknown page format byte {page_format}")
+    if format_byte not in (PAGE_FORMAT_I64, PAGE_FORMAT_F64, PAGE_FORMAT_STR):
+        raise CodecError(f"unknown page format byte {format_byte}")
     if len(payload) < _PACKED_HEADER.size:
         raise CodecError("truncated packed page header")
     _, flags, _, count = _PACKED_HEADER.unpack_from(payload, 0)
     offset = _PACKED_HEADER.size
-    keys, offset = _unpack_keys(page_format, payload, offset, count)
+    keys, offset = _unpack_keys(format_byte, payload, offset, count)
     if flags & _FLAG_HAS_VALUES:
         end = offset + 4 * count
         if end > len(payload):

@@ -79,21 +79,21 @@ class Page:
         DuplicateKeyError
             If a record with the same key is already on the page.
         """
-        index = bisect.bisect_left(self._keys, record.key)
-        if index < len(self._keys) and self._keys[index] == record.key:
-            raise DuplicateKeyError(record.key)
-        self._keys.insert(index, record.key)
-        self._records.insert(index, record)
-        return index
+        return self.insert_kv(record.key, record.value)
 
     def insert_kv(self, key: Any, value: Any = None) -> int:
         """Insert a record given as its fields; return its position.
 
-        On the object page this just builds the :class:`Record`; the
-        packed page overrides it to skip the tuple entirely, so callers
-        on the hot path use this form unconditionally.
+        The hot-path form of :meth:`insert`: callers holding a key and a
+        value skip building the :class:`Record` themselves.
         """
-        return self.insert(Record(key, value))
+        keys = self._keys
+        index = bisect.bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            raise DuplicateKeyError(key)
+        keys.insert(index, key)
+        self._records.insert(index, Record(key, value))
+        return index
 
     def remove(self, key: Any) -> Record:
         """Remove and return the record with ``key``.
@@ -118,23 +118,38 @@ class Page:
         self._records[index] = record
         return old
 
-    def take_lowest(self, count: int) -> List[Record]:
-        """Remove and return the ``count`` lowest-keyed records."""
-        count = min(count, len(self._records))
-        taken = self._records[:count]
-        del self._records[:count]
-        del self._keys[:count]
-        return taken
+    def take_lowest_into(self, dest: "Page", count: int) -> int:
+        """Move the ``count`` lowest records onto the top of ``dest``.
 
-    def take_highest(self, count: int) -> List[Record]:
-        """Remove and return the ``count`` highest-keyed records."""
-        count = min(count, len(self._records))
+        The SHIFT step's batch move: the moved keys must all follow
+        ``dest``'s keys (else :class:`UsageError` and nothing moves),
+        and both lists travel as slices.  Returns the number moved.
+        """
+        count = min(count, len(self._keys))
         if count == 0:
-            return []
-        taken = self._records[-count:]
-        del self._records[-count:]
+            return 0
+        keys = self._keys[:count]
+        if dest._keys and keys[0] <= dest._keys[-1]:
+            raise UsageError("extend_high would break key order")
+        dest._keys += keys
+        dest._records += self._records[:count]
+        del self._keys[:count]
+        del self._records[:count]
+        return count
+
+    def take_highest_into(self, dest: "Page", count: int) -> int:
+        """Move the ``count`` highest records under the bottom of ``dest``."""
+        count = min(count, len(self._keys))
+        if count == 0:
+            return 0
+        keys = self._keys[-count:]
+        if dest._keys and keys[-1] >= dest._keys[0]:
+            raise UsageError("extend_low would break key order")
+        dest._keys[:0] = keys
+        dest._records[:0] = self._records[-count:]
         del self._keys[-count:]
-        return taken
+        del self._records[-count:]
+        return count
 
     def extend_low(self, records: List[Record]) -> None:
         """Prepend records whose keys all precede the page's current keys."""

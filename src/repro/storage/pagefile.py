@@ -313,8 +313,7 @@ class PageFile:
     def insert_kv(self, page_number: int, key: Any, value: Any = None) -> None:
         """:meth:`insert_record` without materializing the Record.
 
-        Identical charges (one read + one write) and identical state;
-        on a packed page the record tuple is never built at all.
+        Identical charges (one read + one write) and identical state.
         """
         self.disk.read(page_number)
         index = self.store.get_page(page_number).insert_kv(key, value)

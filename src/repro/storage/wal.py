@@ -41,11 +41,10 @@ things build on that:
 Version 1 files (``DSJ1``, no sequence header) are still read; they
 report sequence 0.
 
-:class:`~repro.storage.faults.FaultInjector` (historically defined
-here, now part of the unified fault layer in
-:mod:`repro.storage.faults` and re-exported for compatibility) lets the
-test suite crash the process at *every* physical write of a command and
-assert that recovery lands on one of the two legal states.
+:class:`~repro.storage.faults.FaultInjector` (part of the unified
+fault layer in :mod:`repro.storage.faults`) lets the test suite crash
+the process at *every* physical write of a command and assert that
+recovery lands on one of the two legal states.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .faults import FaultInjector, SimulatedCrash  # noqa: F401  (compat)
+from .faults import FaultInjector
 from .ondisk import StorageError
 
 JOURNAL_MAGIC = b"DSJ2"

@@ -9,9 +9,9 @@ import pytest
 
 from repro import DenseSequentialFile
 from repro.concurrent import Deadline, ThreadSafeDenseFile
+from repro.concurrent.retry import RetryPolicy
 from repro.core.errors import OperationTimeout, OverloadError
 from repro.storage import (
-    BackoffPolicy,
     FaultPlan,
     MemoryStore,
     fault_tolerant_stack,
@@ -333,7 +333,7 @@ class TestDeadlineAwareRetries:
         stack = fault_tolerant_stack(
             MemoryStore(64),
             plan,
-            BackoffPolicy(max_attempts=10_000, base_delay=0.05),
+            RetryPolicy(max_attempts=10_000, base_delay=0.05),
         )
         inner = DenseSequentialFile(num_pages=64, d=8, D=40, store=stack)
         shared = ThreadSafeDenseFile(inner)
@@ -349,7 +349,7 @@ class TestDeadlineAwareRetries:
     def test_unbounded_calls_keep_absorbing_transients(self):
         plan = FaultPlan(seed=2, transient_rate=0.2, max_transients=50)
         stack = fault_tolerant_stack(
-            MemoryStore(64), plan, BackoffPolicy(max_attempts=100)
+            MemoryStore(64), plan, RetryPolicy(max_attempts=100)
         )
         inner = DenseSequentialFile(num_pages=64, d=8, D=40, store=stack)
         shared = ThreadSafeDenseFile(inner)

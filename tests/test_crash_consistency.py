@@ -13,11 +13,8 @@ import pytest
 
 from repro import JournaledDenseFile
 from repro.core.errors import InvariantViolationError
-from repro.storage.wal import (
-    FaultInjector,
-    SimulatedCrash,
-    TransactionJournal,
-)
+from repro.storage.faults import FaultInjector, SimulatedCrash
+from repro.storage.wal import TransactionJournal
 
 
 @pytest.fixture

@@ -1,23 +1,18 @@
-"""Packed vs object pages: one behaviour, two representations.
+"""Page images and the page's batch moves.
 
-:class:`~repro.storage.packed.PackedPage` is advertised as a drop-in
-behavioural replacement for the object
-:class:`~repro.storage.page.Page`: same results, same exceptions, same
-logical page-access counts — only the in-core layout differs.  These
-tests hold that promise in three tiers:
+The in-core page is the record-list :class:`~repro.storage.page.Page`;
+what reaches disk on version-2 files is the self-describing format-byte
+image of :mod:`repro.storage.packed`.  These tests hold:
 
-* **page level** — a Hypothesis-driven mirror applies the same random
-  operation stream to both classes and demands identical return
-  values, identical exceptions, and identical final record lists;
-* **file level** — a stateful machine drives two complete
-  ``DenseSequentialFile`` stacks (``page_format="packed"`` vs
-  ``"object"``) and checks per-page state, logical meters, and the
-  physical store counters agree after every command;
+* **batch moves** — ``take_lowest_into`` / ``take_highest_into`` (the
+  SHIFT step's slice moves) match a plain-list reference, key-order
+  :class:`~repro.core.errors.UsageError` included;
 * **image level** — the format-byte classifier packs exactly the
   homogeneous pages it documents (int64 / float64 / short-str keys,
   bytes-or-None values) and demotes everything else to the generic
-  object codec, with every image round-tripping exactly — including
-  legacy version-1 files that predate the packed format.
+  object codec, with every image round-tripping exactly and the image
+  bytes pinned — including legacy version-1 files that predate the
+  packed format.
 """
 
 import os
@@ -28,96 +23,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
 
 from repro.core.dense_file import DenseSequentialFile
-from repro.core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
+from repro.core.errors import UsageError
 from repro.records import Record
 from repro.storage.backend import DiskStore, move_between
-from repro.storage.codec import CodecError, encode_page
+from repro.storage.codec import CodecError
 from repro.storage.packed import (
     PAGE_FORMAT_F64,
     PAGE_FORMAT_I64,
     PAGE_FORMAT_OBJECT,
     PAGE_FORMAT_STR,
-    PackedPage,
     decode_page_image,
     encode_page_image,
     encode_records_image,
-    page_columns,
 )
 from repro.storage.page import Page
 
+M, LOW_D, HIGH_D = 16, 4, 24
+
 # ---------------------------------------------------------------------------
-# page level: every operation, both classes, identical outcomes
+# batch moves: slice moves against a plain-list reference
 # ---------------------------------------------------------------------------
-
-#: Heterogeneous keys on purpose: ints, floats, strings and Fractions
-#: are mutually comparable only within a type, so each generated stream
-#: sticks to one key strategy — but the *suite* exercises all of them.
-KEY_STRATEGIES = {
-    "int": st.integers(min_value=-(2**70), max_value=2**70),
-    "float": st.floats(allow_nan=False, allow_infinity=False),
-    "str": st.text(max_size=40),
-    "fraction": st.fractions(max_denominator=50),
-}
-
-VALUES = st.one_of(
-    st.none(),
-    st.binary(max_size=12),
-    st.integers(),
-    st.text(max_size=8),
-    st.tuples(st.integers(), st.text(max_size=4)),
-)
-
-
-def _apply(page, op, args):
-    """Run one operation; return ``("ok", result)`` or ``("err", type)``."""
-    try:
-        method = getattr(page, op)
-        return "ok", method(*args)
-    except (DuplicateKeyError, RecordNotFoundError, UsageError) as exc:
-        return "err", type(exc).__name__
-
-
-OPS = st.sampled_from(
-    ["insert_kv", "remove", "get", "replace", "take_lowest", "take_highest"]
-)
-
-
-@st.composite
-def operation_streams(draw):
-    kind = draw(st.sampled_from(sorted(KEY_STRATEGIES)))
-    keys = KEY_STRATEGIES[kind]
-    stream = []
-    for _ in range(draw(st.integers(min_value=1, max_value=40))):
-        op = draw(OPS)
-        if op in ("take_lowest", "take_highest"):
-            stream.append((op, (draw(st.integers(min_value=0, max_value=6)),)))
-        elif op == "replace":
-            stream.append((op, (Record(draw(keys), draw(VALUES)),)))
-        elif op == "insert_kv":
-            stream.append((op, (draw(keys), draw(VALUES))))
-        else:  # remove / get
-            stream.append((op, (draw(keys),)))
-    return stream
-
-
-@given(operation_streams())
-@settings(max_examples=120, deadline=None)
-def test_operation_stream_parity(stream):
-    packed, plain = PackedPage(), Page()
-    for op, args in stream:
-        assert _apply(packed, op, args) == _apply(plain, op, args)
-        assert packed.records() == plain.records()
-        assert len(packed) == len(plain)
-        assert packed.is_empty == plain.is_empty
-    assert list(packed) == list(plain)
 
 
 @given(
@@ -126,155 +53,80 @@ def test_operation_stream_parity(stream):
     st.integers(min_value=0, max_value=25),
     st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
-def test_slice_moves_match_record_moves(low_keys, high_keys, count, upward):
-    """``take_*_into`` is exactly ``take_* + extend_*`` — state and errors."""
-    source_records = [Record(key, key % 5) for key in sorted(low_keys)]
-    dest_records = [Record(key, None) for key in sorted(high_keys)]
+@settings(max_examples=200, deadline=None)
+def test_slice_moves_match_record_moves(source_keys, dest_keys, count, upward):
+    """``take_*_into`` moves exactly the reference slice, or nothing."""
+    source_records = [Record(key, key % 5) for key in sorted(source_keys)]
+    dest_records = [Record(key, None) for key in sorted(dest_keys)]
+    source, dest = Page(source_records), Page(dest_records)
 
-    packed_src = PackedPage(source_records)
-    packed_dst = PackedPage(dest_records)
-    plain_src = Page(source_records)
-    plain_dst = Page(dest_records)
-
+    taken = min(count, len(source_records))
     if upward:
-        fast = lambda: packed_src.take_lowest_into(packed_dst, count)  # noqa: E731
-        slow = lambda: plain_dst.extend_high(plain_src.take_lowest(count))  # noqa: E731
-    else:
-        fast = lambda: packed_src.take_highest_into(packed_dst, count)  # noqa: E731
-        slow = lambda: plain_dst.extend_low(plain_src.take_highest(count))  # noqa: E731
-
-    try:
-        moved = fast()
-        failed = None
-    except UsageError as exc:
-        moved, failed = None, str(exc)
-    try:
-        slow()
-        plain_failed = None
-    except UsageError as exc:
-        plain_failed = str(exc)
-
-    assert (failed is None) == (plain_failed is None)
-    if failed is None:
-        assert moved == min(count, len(source_records))
-        assert packed_src.records() == plain_src.records()
-        assert packed_dst.records() == plain_dst.records()
-    else:
-        assert failed == plain_failed
-
-
-def test_move_between_dispatches_both_representations():
-    for page_class in (PackedPage, Page):
-        low = page_class([Record(k) for k in (1, 2, 3)])
-        high = page_class([Record(k) for k in (10, 11)])
-        # dest above source: the highest records slide up.
-        assert move_between(low, high, source=1, dest=2, count=2) == 2
-        assert [r.key for r in low] == [1]
-        assert [r.key for r in high] == [2, 3, 10, 11]
-        # dest below source: the lowest records slide back down.
-        assert move_between(high, low, source=2, dest=1, count=3) == 3
-        assert [r.key for r in low] == [1, 2, 3, 10]
-        assert [r.key for r in high] == [11]
-
-
-def test_page_columns_agrees_across_representations():
-    records = [Record(k, bytes([k])) for k in (3, 7, 9)]
-    for page in (PackedPage(records), Page(records)):
-        keys, values = page_columns(page)
-        assert keys == [3, 7, 9]
-        assert values == [b"\x03", b"\x07", b"\x09"]
-
-
-# ---------------------------------------------------------------------------
-# file level: two full stacks, identical logical and physical meters
-# ---------------------------------------------------------------------------
-
-M, LOW_D, HIGH_D = 16, 4, 24
-FILE_KEYS = st.integers(min_value=0, max_value=10_000)
-
-
-def _format_pair():
-    return [
-        DenseSequentialFile(M, LOW_D, HIGH_D, page_format=page_format)
-        for page_format in ("packed", "object")
-    ]
-
-
-def _assert_file_parity(packed_file, object_file):
-    assert len(packed_file) == len(object_file)
-    assert packed_file.occupancies() == object_file.occupancies()
-    for page_number in range(1, M + 1):
-        assert encode_page(
-            packed_file.engine.pagefile.page(page_number).records()
-        ) == encode_page(
-            object_file.engine.pagefile.page(page_number).records()
+        moved = source_records[:taken]
+        in_order = not dest_records or not moved or (
+            moved[0].key > dest_records[-1].key
         )
-    # The paper's metered quantity and the raw store counters both have
-    # to agree: the representation must not change what gets charged.
-    for name in ("reads", "writes", "cost"):
-        assert getattr(packed_file.stats, name) == getattr(
-            object_file.stats, name
+        expected_source = source_records[taken:]
+        expected_dest = dest_records + moved
+        move = source.take_lowest_into
+    else:
+        moved = source_records[len(source_records) - taken:]
+        in_order = not dest_records or not moved or (
+            moved[-1].key < dest_records[0].key
         )
-    packed_stats = dict(packed_file.store.stats())
-    object_stats = dict(object_file.store.stats())
-    assert packed_stats == object_stats
-    packed_file.validate()
-    object_file.validate()
+        expected_source = source_records[: len(source_records) - taken]
+        expected_dest = moved + dest_records
+        move = source.take_highest_into
+
+    if in_order:
+        assert move(dest, count) == taken
+        assert source.records() == expected_source
+        assert dest.records() == expected_dest
+        assert dest._keys == [record.key for record in expected_dest]
+        assert source._keys == [record.key for record in expected_source]
+    else:
+        with pytest.raises(UsageError):
+            move(dest, count)
+        assert source.records() == source_records
+        assert dest.records() == dest_records
 
 
-class PackedObjectParityMachine(RuleBasedStateMachine):
-    """Mirror every command into both page formats; compare constantly."""
-
-    @initialize()
-    def setup(self):
-        self.packed, self.plain = _format_pair()
-        self.keys = set()
-
-    @rule(key=FILE_KEYS)
-    def insert(self, key):
-        if key in self.keys or len(self.keys) >= LOW_D * M:
-            return
-        self.keys.add(key)
-        self.packed.insert(key, f"v{key}")
-        self.plain.insert(key, f"v{key}")
-
-    @rule(key=FILE_KEYS)
-    def delete(self, key):
-        if key not in self.keys:
-            return
-        self.keys.remove(key)
-        assert self.packed.delete(key) == self.plain.delete(key)
-
-    @rule(lo=FILE_KEYS, hi=FILE_KEYS)
-    def scan(self, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        expected = sorted(k for k in self.keys if lo <= k <= hi)
-        for dense in (self.packed, self.plain):
-            assert [r.key for r in dense.range(lo, hi)] == expected
-
-    @invariant()
-    def formats_agree(self):
-        if hasattr(self, "packed"):
-            _assert_file_parity(self.packed, self.plain)
+def test_move_between_moves_the_records_nearest_the_destination():
+    low = Page([Record(k) for k in (1, 2, 3)])
+    high = Page([Record(k) for k in (10, 11)])
+    # dest above source: the highest records slide up.
+    assert move_between(low, high, source=1, dest=2, count=2) == 2
+    assert [r.key for r in low] == [1]
+    assert [r.key for r in high] == [2, 3, 10, 11]
+    # dest below source: the lowest records slide back down.
+    assert move_between(high, low, source=2, dest=1, count=3) == 3
+    assert [r.key for r in low] == [1, 2, 3, 10]
+    assert [r.key for r in high] == [11]
 
 
-TestPackedObjectParity = PackedObjectParityMachine.TestCase
-TestPackedObjectParity.settings = settings(
-    max_examples=15, stateful_step_count=30, deadline=None
-)
-
-
-def test_heterogeneous_keys_in_one_file_stay_identical():
-    """Columns accept any ordered key type; meters stay in lockstep."""
-    packed_file, object_file = _format_pair()
-    for key in (Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(9)):
-        packed_file.insert(key, str(key))
-        object_file.insert(key, str(key))
-    assert packed_file.delete(Fraction(2, 3)) == object_file.delete(
+def test_heterogeneous_keys_in_one_file_stay_identical(tmp_path):
+    """Fraction keys demote every disk write to the object codec; the
+    disk file still matches the memory file record for record and
+    charge for charge."""
+    memory_file = DenseSequentialFile(M, LOW_D, HIGH_D)
+    disk_file = DenseSequentialFile(
+        M, LOW_D, HIGH_D, backend="disk", path=str(tmp_path / "frac.dsf")
+    )
+    for dense in (memory_file, disk_file):
+        for key in (Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(9)):
+            dense.insert(key, str(key))
+    assert memory_file.delete(Fraction(2, 3)) == disk_file.delete(
         Fraction(2, 3)
     )
-    _assert_file_parity(packed_file, object_file)
+    assert list(memory_file.items()) == list(disk_file.items())
+    assert memory_file.occupancies() == disk_file.occupancies()
+    for name in ("reads", "writes", "cost"):
+        assert getattr(memory_file.stats, name) == getattr(
+            disk_file.stats, name
+        )
+    memory_file.validate()
+    disk_file.validate()
+    disk_file.close()
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +162,45 @@ def test_format_byte_classification(records, expected_format):
     assert decode_page_image(image) == records
 
 
-@pytest.mark.parametrize("page_class", [PackedPage, Page])
-def test_image_round_trip_is_exact_for_both_classes(page_class):
+def test_page_image_round_trip_is_exact():
     records = [Record(k, bytes([k % 251])) for k in range(0, 40, 3)]
-    page = page_class(records)
-    image = encode_page_image(page)
+    image = encode_page_image(Page(records))
+    assert image == encode_records_image(records)
     assert image[0] == PAGE_FORMAT_I64
+    assert decode_page_image(image) == records
+
+
+#: Images as the format-2 codec has always written them: a file written
+#: by any earlier release must decode, and a rewrite must not change a
+#: byte of an unchanged page.
+PINNED_IMAGES = [
+    (
+        [Record(-3, b"a"), Record(7, None), Record(2**40, b"")],
+        "0101000003000000fdffffffffffffff0700000000000000"
+        "000000000001000001000000ffffffff0000000061",
+    ),
+    (
+        [Record(0.5), Record(2.25)],
+        "0200000002000000000000000000e03f0000000000000240",
+    ),
+    (
+        [Record("a"), Record("já", b"v")],
+        "03010000020000000301610000036ac3a1ffffffff0100000076",
+    ),
+    (
+        [Record(Fraction(1, 3), "x"), Record(Fraction(1, 2), (1, 2))],
+        "00020000000703010000000103010000000305010000007807"
+        "0301000000010301000000020802000000030100000001030100000002",
+    ),
+    ([], "0000000000"),
+]
+
+
+@pytest.mark.parametrize("records, image_hex", PINNED_IMAGES)
+def test_image_bytes_are_pinned(records, image_hex):
+    image = bytes.fromhex(image_hex)
+    assert encode_page_image(Page(records)) == image
+    assert encode_records_image(records) == image
     assert decode_page_image(image) == records
 
 
@@ -356,7 +241,7 @@ def test_every_image_round_trips(pairs):
 def test_mid_stream_demotion_and_repromotion():
     """A Fraction key demotes the *write*, not the page; removing it
     restores the packed format on the next write."""
-    page = PackedPage([Record(k) for k in (10, 20, 30)])
+    page = Page([Record(k) for k in (10, 20, 30)])
     assert encode_page_image(page)[0] == PAGE_FORMAT_I64
     page.insert_kv(Fraction(25, 1))
     demoted = encode_page_image(page)
@@ -390,27 +275,22 @@ def workdir():
     shutil.rmtree(path, ignore_errors=True)
 
 
-def _disk_file(workdir, name, version, page_class):
+def _disk_file(workdir, name, version):
     store = DiskStore.create(
         os.path.join(workdir, name),
         num_pages=M,
         d=LOW_D,
         D=HIGH_D,
         version=version,
-        page_class=page_class,
     )
     return DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
 
 
 @pytest.mark.parametrize("version", [1, 2])
-@pytest.mark.parametrize("page_class", [PackedPage, Page])
-def test_old_and_new_files_reopen_under_either_page_class(
-    workdir, version, page_class
-):
-    """Both on-disk versions round trip through both in-core layouts —
-    in particular, packed cores keep legacy v1 files readable."""
-    name = f"v{version}-{page_class.__name__}.dsf"
-    dense = _disk_file(workdir, name, version, page_class)
+def test_old_and_new_files_reopen_and_scrub(workdir, version):
+    """Both on-disk versions round trip through a close and reopen."""
+    name = f"v{version}.dsf"
+    dense = _disk_file(workdir, name, version)
     for key in range(0, 120, 2):
         dense.insert(key, f"value-{key}")
     for key in range(0, 120, 10):
@@ -418,16 +298,13 @@ def test_old_and_new_files_reopen_under_either_page_class(
     expected = list(dense.items())
     dense.close()
 
-    for reopen_class in (PackedPage, Page):
-        store = DiskStore.open(
-            os.path.join(workdir, name), page_class=reopen_class
-        )
-        assert store.raw.version == version
-        reopened = DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
-        reopened.engine.restore_from_store()
-        assert list(reopened.items()) == expected
-        reopened.validate()
-        reopened.close()
+    store = DiskStore.open(os.path.join(workdir, name))
+    assert store.raw.version == version
+    reopened = DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
+    reopened.engine.restore_from_store()
+    assert list(reopened.items()) == expected
+    reopened.validate()
+    reopened.close()
 
     # Both format versions also pass the scrub ladder untouched.
     from repro.storage.scrub import scrub
@@ -439,7 +316,7 @@ def test_old_and_new_files_reopen_under_either_page_class(
 
 def test_format_byte_round_trips_through_journal_replay(workdir):
     """Journaled payloads are format-byte images; replay restores both
-    the packed pages and the demoted (object-codec) ones exactly."""
+    the packed images and the demoted (object-codec) ones exactly."""
     from repro.persistent import JournaledDenseFile
 
     path = os.path.join(workdir, "journaled.dsf")
@@ -485,8 +362,8 @@ def test_format_byte_round_trips_through_replication(workdir):
 
 def test_v1_and_v2_files_hold_identical_logical_state(workdir):
     """The format version changes slot bytes, never logical contents."""
-    v1 = _disk_file(workdir, "old.dsf", 1, PackedPage)
-    v2 = _disk_file(workdir, "new.dsf", 2, PackedPage)
+    v1 = _disk_file(workdir, "old.dsf", 1)
+    v2 = _disk_file(workdir, "new.dsf", 2)
     for dense in (v1, v2):
         for key in range(60):
             dense.insert(key, bytes([key]))

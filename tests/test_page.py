@@ -69,24 +69,26 @@ class TestPageBasics:
 class TestPageBatchMoves:
     def test_take_lowest(self):
         page = make_page(1, 2, 3, 4)
-        taken = page.take_lowest(2)
-        assert [record.key for record in taken] == [1, 2]
+        dest = Page()
+        assert page.take_lowest_into(dest, 2) == 2
+        assert [record.key for record in dest] == [1, 2]
         assert [record.key for record in page] == [3, 4]
 
     def test_take_highest(self):
         page = make_page(1, 2, 3, 4)
-        taken = page.take_highest(3)
-        assert [record.key for record in taken] == [2, 3, 4]
+        dest = make_page(9)
+        assert page.take_highest_into(dest, 3) == 3
+        assert [record.key for record in dest] == [2, 3, 4, 9]
         assert [record.key for record in page] == [1]
 
     def test_take_more_than_available(self):
         page = make_page(1, 2)
-        assert len(page.take_lowest(10)) == 2
+        assert page.take_lowest_into(Page(), 10) == 2
         assert page.is_empty
 
     def test_take_zero(self):
         page = make_page(1)
-        assert page.take_highest(0) == []
+        assert page.take_highest_into(Page(), 0) == 0
         assert len(page) == 1
 
     def test_extend_low_prepends(self):

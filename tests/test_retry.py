@@ -15,7 +15,6 @@ from repro.core.errors import (
     OperationTimeout,
     TransientIOError,
 )
-from repro.storage.faults import BackoffPolicy
 
 
 class TestRetryPolicy:
@@ -75,13 +74,6 @@ class TestRetryPolicy:
     def test_invalid_policies_are_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RetryPolicy(**kwargs)
-
-    def test_backoff_policy_is_a_retry_policy(self):
-        # The storage layer's BackoffPolicy is the same shape — one
-        # policy object can be handed to either retry loop.
-        policy = BackoffPolicy(max_attempts=3, base_delay=0.01)
-        assert isinstance(policy, RetryPolicy)
-        assert policy.delay(0) == pytest.approx(0.01)
 
 
 class TestRetryCall:

@@ -211,3 +211,82 @@ class TestCliSurface:
         code, output = run_cli("put", path, "999")
         assert code == 1
         assert "error" in output
+
+
+#: CRC-valid slot payloads that do not decode.  Each is a format-byte
+#: image on a version-2 file: an unknown type tag, a float field cut
+#: short (``struct.error`` inside the decoder), a list as a dict key
+#: (``TypeError``), and a zero fraction denominator
+#: (``ZeroDivisionError``).
+UNDECODABLE_PAYLOADS = {
+    "unknown-tag": b"\x00\xff\xfe garbage",
+    "short-float": b"\x00" + b"\x01\x00\x00\x00" + b"\x04\x00\x00",
+    "unhashable-key": (
+        b"\x00" + b"\x01\x00\x00\x00"
+        + b"\x0a\x01\x00\x00\x00" + b"\x09\x00\x00\x00\x00" + b"\x00"
+        + b"\x00"
+    ),
+    "zero-denominator": (
+        b"\x00" + b"\x01\x00\x00\x00"
+        + b"\x07" + b"\x03\x01\x00\x00\x00\x01" + b"\x03\x00\x00\x00\x00"
+        + b"\x00"
+    ),
+}
+
+
+@pytest.fixture(params=sorted(UNDECODABLE_PAYLOADS))
+def undecodable(request, populated):
+    """``populated`` with one page's slot replaced by an undecodable
+    payload under a valid checksum; returns ``(path, victim)``."""
+    path, payloads = populated
+    victim = sorted(payloads)[0]
+    with DiskPagedStore.open(path) as raw:
+        raw.write_page_payload(victim, UNDECODABLE_PAYLOADS[request.param])
+    return path, victim
+
+
+class TestUndecodableSlot:
+    def test_read_raises_corrupt_page(self, undecodable):
+        from repro.storage.ondisk import CorruptPageError
+
+        path, victim = undecodable
+        with DiskPagedStore.open(path) as raw:
+            with pytest.raises(CorruptPageError, match="undecodable"):
+                raw.read_page(victim)
+            assert raw.verify_all() == [victim]
+
+    def test_info_opens_degraded_view_before_and_after_scrub(
+        self, undecodable
+    ):
+        path, victim = undecodable
+        code, output = run_cli("info", path)
+        assert code == 5
+        assert "DEGRADED (read-only)" in output and str(victim) in output
+        assert run_cli("verify", path)[0] == 3
+        report = scrub(path)
+        assert report.quarantined == (victim,)
+        code, output = run_cli("info", path)
+        assert code == 5 and "DEGRADED" in output
+
+    def test_runaway_nesting_is_a_corrupt_page(self, tmp_path):
+        from repro.storage.ondisk import CorruptPageError
+
+        # 1200 nested one-tuples: deeper than the interpreter's
+        # recursion limit, which only a wide slot can hold.
+        nested = b"\x08\x01\x00\x00\x00" * 1200 + b"\x00"
+        payload = b"\x00" + b"\x01\x00\x00\x00" + nested + b"\x00"
+        path = str(tmp_path / "deep.dsf")
+        with DiskPagedStore.create(
+            path, num_pages=2, d=1, D=4, slot_capacity=8192
+        ) as raw:
+            raw.write_page_payload(1, payload)
+            with pytest.raises(CorruptPageError, match="undecodable"):
+                raw.read_page(1)
+
+    def test_degraded_open_quarantines_the_page(self, undecodable):
+        path, victim = undecodable
+        with PersistentDenseFile.open(
+            path, on_corruption="degrade"
+        ) as dense:
+            assert dense.read_only
+            assert dense.quarantined == (victim,)

@@ -69,13 +69,14 @@ from repro.storage.backend import (  # noqa: E402
     DiskStore,
     MemoryStore,
 )
+from repro.concurrent.retry import RetryPolicy  # noqa: E402
 from repro.storage.faults import (  # noqa: E402
-    BackoffPolicy,
+    FaultInjector,
     FaultPlan,
+    SimulatedCrash,
     fault_tolerant_stack,
 )
 from repro.storage.scrub import scrub  # noqa: E402
-from repro.storage.wal import FaultInjector, SimulatedCrash  # noqa: E402
 
 
 def random_geometry(rng: random.Random):
@@ -207,7 +208,7 @@ def fuzz_faults_once(seed: int, verbose: bool = False):
     rate = rng.choice([0.0, 0.02, 0.1, 0.25])
     plan = FaultPlan(seed=seed, transient_rate=rate)
     stack = fault_tolerant_stack(
-        inner, plan, BackoffPolicy(max_attempts=40)
+        inner, plan, RetryPolicy(max_attempts=40)
     )
     dense = DenseSequentialFile(num_pages, d, cap, store=stack)
     model = set()
